@@ -13,7 +13,7 @@
 //	                                    # visual search + quantized recall
 //	tvdp-bench -figure sharding         # scatter-gather scaling: mixed
 //	                                    # workload at 1, 2, 4, 8 shards
-//	tvdp-bench -figure persistence      # snapshot vs segment engine:
+//	tvdp-bench -figure persistence      # segment engine under paced load:
 //	                                    # p99 and max single-op stall
 //	tvdp-bench -figure ingest           # inline vs streaming ack latency
 //	                                    # at paced load + recall parity
@@ -116,8 +116,8 @@ func main() {
 			path = "BENCH_persistence.json"
 		}
 		// Like sharding, the persistence figure has its own defaults (big
-		// preload so snapshot rewrites visibly stall); shared flags only
-		// override when set explicitly.
+		// preload, paced load); shared flags only override when set
+		// explicitly.
 		cfg := experiments.DefaultPersistenceConfig()
 		cfg.Seed = *seed
 		flag.Visit(func(f *flag.Flag) {
@@ -257,8 +257,8 @@ func runServing(clients int, readfrac float64, duration time.Duration, preload i
 }
 
 func runSharding(cfg experiments.ShardingConfig, out string) {
-	log.Printf("sharding bench: counts %v, %d clients, %.0f%% reads, %s per count, preload %d, sync=%v, snapshot every %d",
-		cfg.Counts, cfg.Clients, cfg.ReadFrac*100, cfg.Duration, cfg.Preload, cfg.Sync, cfg.SnapshotEvery)
+	log.Printf("sharding bench: counts %v, %d clients, %.0f%% reads, %s per count, preload %d, sync=%v",
+		cfg.Counts, cfg.Clients, cfg.ReadFrac*100, cfg.Duration, cfg.Preload, cfg.Sync)
 	r, err := experiments.RunSharding(cfg)
 	if err != nil {
 		log.Fatalf("sharding: %v", err)
@@ -277,8 +277,8 @@ func runPersistence(cfg experiments.PersistenceConfig, out string) {
 	if cfg.TargetOps > 0 {
 		pace = fmt.Sprintf("%d ops/sec", cfg.TargetOps)
 	}
-	log.Printf("persistence bench: %d clients, %.0f%% reads, %s per engine at %s, preload %d, snapshot every %d vs flush at %d KiB",
-		cfg.Clients, cfg.ReadFrac*100, cfg.Duration, pace, cfg.Preload, cfg.SnapshotEvery, cfg.FlushThreshold>>10)
+	log.Printf("persistence bench: %d clients, %.0f%% reads, %s at %s, preload %d, flush at %d KiB",
+		cfg.Clients, cfg.ReadFrac*100, cfg.Duration, pace, cfg.Preload, cfg.FlushThreshold>>10)
 	r, err := experiments.RunPersistence(cfg)
 	if err != nil {
 		log.Fatalf("persistence: %v", err)

@@ -9,8 +9,8 @@
 //
 // Lifecycle: SIGINT/SIGTERM triggers a graceful shutdown — the listener
 // stops accepting, in-flight requests drain for up to -shutdown-grace,
-// the group-commit committer quiesces, and the store snapshots and closes
-// so the next open replays nothing. A clean shutdown exits 0.
+// the group-commit committer quiesces, and the store flushes its memtable
+// and closes so the next open replays nothing. A clean shutdown exits 0.
 //
 // With -pprof, net/http/pprof is served on its own listener (never the
 // API address), so serving-path contention is inspectable live:
@@ -58,10 +58,8 @@ func run(logger *log.Logger) error {
 		addr       = flag.String("addr", ":8080", "listen address")
 		dir        = flag.String("dir", "", "durability directory (empty = in-memory)")
 		shards     = flag.Int("shards", 1, "partition the corpus across N store shards (1 = single store)")
-		engine     = flag.String("engine", "segment", "persistence engine: segment (incremental, default) or snapshot (legacy full-snapshot)")
 		walSync    = flag.String("wal-sync", "batch", "WAL durability: batch (one write per group-commit), immediate (fsync per batch), none (in-memory buffer)")
-		flushThr   = flag.Int64("flush-threshold", 0, "segment engine: flush the memtable after this many WAL bytes (0 = default 8 MiB)")
-		snapEvery  = flag.Int("snapshot-every", 0, "snapshot engine: auto-compact the WAL after N mutations (0 disables)")
+		flushThr   = flag.Int64("flush-threshold", 0, "flush the memtable to a segment after this many WAL bytes (0 = default 8 MiB)")
 		demo       = flag.Int("demo", 0, "seed N labelled synthetic images and train a demo model")
 		seed       = flag.Int64("seed", 1, "demo corpus seed")
 		pprofAddr  = flag.String("pprof", "", "serve net/http/pprof on this side address (e.g. :6060); empty disables")
@@ -99,10 +97,6 @@ func run(logger *log.Logger) error {
 		defer side.Close()
 	}
 
-	eng, err := store.ParseEngine(*engine)
-	if err != nil {
-		return err
-	}
 	syncMode, err := store.ParseWALSyncMode(*walSync)
 	if err != nil {
 		return err
@@ -110,10 +104,8 @@ func run(logger *log.Logger) error {
 	p, err := tvdp.Open(tvdp.Config{
 		Dir:            *dir,
 		ShardCount:     *shards,
-		Engine:         eng,
 		WALSync:        syncMode,
 		FlushThreshold: *flushThr,
-		SnapshotEvery:  *snapEvery,
 		IngestWorkers:  *ingWork,
 		IngestQueue:    *ingQueue,
 	})
@@ -147,9 +139,10 @@ func run(logger *log.Logger) error {
 	if err != nil {
 		return err
 	}
-	// Clean drain: snapshot now so the next open is replay-free, then let
-	// the deferred Close quiesce the committer and close the WAL.
-	logger.Printf("drained; snapshotting store")
+	// Clean drain: flush the memtable now (Snapshot) so the next open is
+	// replay-free, then let the deferred Close quiesce the committer and
+	// close the WAL.
+	logger.Printf("drained; flushing store")
 	if err := p.Store.Snapshot(); err != nil {
 		return err
 	}

@@ -58,19 +58,13 @@ type Config struct {
 	// the exact on-disk layout earlier releases wrote; N > 1 places each
 	// shard under Dir/shard-XXX and scatter-gathers queries.
 	ShardCount int
-	// Engine selects the persistence engine: store.EngineSegment (the
-	// default) or store.EngineSnapshot (the legacy full-snapshot engine).
-	Engine store.Engine
 	// WALSync selects WAL batch durability: store.SyncBatch (default),
 	// store.SyncImmediate, or store.SyncNone.
 	WALSync store.WALSyncMode
 	// SyncEveryWrite fsyncs the WAL per mutation (same as WALSync =
 	// store.SyncImmediate).
 	SyncEveryWrite bool
-	// SnapshotEvery auto-compacts the WAL after this many mutations
-	// (snapshot engine only; 0 disables).
-	SnapshotEvery int
-	// FlushThreshold is the segment engine's memtable flush trigger in
+	// FlushThreshold is the store's memtable flush trigger in
 	// WAL bytes (0 means store.DefaultFlushThreshold).
 	FlushThreshold int64
 	// CompactSegments is the segment count that triggers background
@@ -118,11 +112,9 @@ func Open(cfg Config) (*Platform, error) {
 		co, err := shard.Open(shard.Config{
 			Dir:             cfg.Dir,
 			ShardCount:      cfg.ShardCount,
-			Engine:          cfg.Engine,
 			WALSync:         cfg.WALSync,
 			SyncEveryWrite:  cfg.SyncEveryWrite,
 			HybridKinds:     cfg.HybridKinds,
-			SnapshotEvery:   cfg.SnapshotEvery,
 			FlushThreshold:  cfg.FlushThreshold,
 			CompactSegments: cfg.CompactSegments,
 		})
@@ -133,11 +125,9 @@ func Open(cfg Config) (*Platform, error) {
 	} else {
 		sc := store.DefaultConfig()
 		sc.Dir = cfg.Dir
-		sc.Engine = cfg.Engine
 		sc.WALSync = cfg.WALSync
 		sc.SyncEveryWrite = cfg.SyncEveryWrite
 		sc.HybridKinds = cfg.HybridKinds
-		sc.SnapshotEvery = cfg.SnapshotEvery
 		sc.FlushThreshold = cfg.FlushThreshold
 		sc.CompactSegments = cfg.CompactSegments
 		s, err := store.Open(sc)

@@ -14,16 +14,13 @@ import (
 	"repro/internal/store"
 )
 
-// Persistence-engine benchmark (`tvdp-bench -figure persistence`): the
-// same sustained mixed read/write workload run against the two
-// persistence engines — the legacy snapshot engine (full corpus rewrite
-// under all six locks every SnapshotEvery mutations) and the segment
-// engine (memtable freeze-swap + background segment flush/compaction).
-// Throughput barely moves; the headline is the tail: the snapshot
-// engine's compaction stalls every in-flight op for the whole corpus
-// rewrite, so its p99 and max single-op stall grow with corpus size,
-// while the segment engine's freeze-swap holds the locks for O(queued
-// frames) regardless of corpus size.
+// Persistence benchmark (`tvdp-bench -figure persistence`): a sustained
+// mixed read/write workload over a preloaded segment-engine store, with
+// memtable flushes and background compactions landing inside the
+// measured window. The headline is the tail — p99 and the worst
+// single-op stall — because the freeze-swap holds the six subsystem
+// locks for O(queued frames) regardless of corpus size, and a
+// regression there shows up as a stall, not as lost throughput.
 
 // PersistenceConfig sizes one persistence benchmark run.
 type PersistenceConfig struct {
@@ -31,36 +28,30 @@ type PersistenceConfig struct {
 	Clients int
 	// ReadFrac in [0,1] is the probability an op is a read.
 	ReadFrac float64
-	// Duration is the measured wall-clock window per mode.
+	// Duration is the measured wall-clock window.
 	Duration time.Duration
-	// Preload seeds the store with this many images before timing — the
-	// corpus a snapshot rewrite has to carry.
+	// Preload seeds the store with this many images before timing.
 	Preload int
 	// TargetOps paces the workload at this many total ops/sec across all
 	// clients (0 = unpaced: every client issues ops back-to-back). Paced
-	// is the honest engine comparison — both engines see the identical
-	// offered load, chosen inside both engines' capacity, so a latency
-	// spike is an engine stall, not queueing at saturation. It also
-	// matches the platform's reality: cameras upload at their own rate;
-	// a persistence stall shows up as a log-jam, not reduced throughput.
+	// runs are open-loop: the offered load sits inside the engine's
+	// capacity, each op's latency counts from its intended send time, and
+	// a latency spike is an engine stall, not queueing at saturation. It
+	// also matches the platform's reality: cameras upload at their own
+	// rate; a persistence stall shows up as a log-jam, not reduced
+	// throughput.
 	TargetOps int
-	// SnapshotEvery is the snapshot engine's auto-compaction threshold
-	// (mutations per snapshot).
-	SnapshotEvery int
-	// FlushThreshold is the segment engine's memtable flush trigger in
-	// WAL bytes, chosen so both engines compact at a comparable cadence.
+	// FlushThreshold is the memtable flush trigger in WAL bytes.
 	FlushThreshold int64
 	// Seed drives the per-client workload RNGs.
 	Seed int64
 }
 
-// DefaultPersistenceConfig mirrors the serving figure's unsynced regime
-// with a corpus large enough that full-snapshot rewrites visibly stall:
-// 8 clients, evenly mixed ops, 8000 preloaded images, a snapshot every
-// 256 mutations vs a segment flush every 128 KiB of WAL (roughly the
-// same cadence for this workload's frame sizes), paced at 4000 ops/sec
-// — about half the snapshot engine's measured saturation point, so both
-// engines run the identical workload with headroom.
+// DefaultPersistenceConfig mirrors the serving figure's unsynced regime:
+// 8 clients, evenly mixed ops, 8000 preloaded images, a segment flush
+// every 128 KiB of WAL, paced at 4000 ops/sec — the load the historical
+// snapshot-vs-segment comparison ran at, so the live row stays
+// comparable with it.
 func DefaultPersistenceConfig() PersistenceConfig {
 	return PersistenceConfig{
 		Clients:        8,
@@ -68,13 +59,12 @@ func DefaultPersistenceConfig() PersistenceConfig {
 		Duration:       2 * time.Second,
 		Preload:        8000,
 		TargetOps:      4000,
-		SnapshotEvery:  256,
 		FlushThreshold: 128 << 10,
 		Seed:           1,
 	}
 }
 
-// PersistenceModeResult is one engine's measurements.
+// PersistenceModeResult is the engine's measurements.
 type PersistenceModeResult struct {
 	Mode      string  `json:"mode"`
 	Ops       uint64  `json:"ops"`
@@ -86,32 +76,25 @@ type PersistenceModeResult struct {
 	// MaxStallMs is the worst single-op latency observed — the direct
 	// measure of the stop-the-world stall this figure is about.
 	MaxStallMs float64 `json:"max_stall_ms"`
-	// Snapshots / Flushes / Compactions count the engine's background
-	// persistence operations during the measured window.
-	Snapshots   uint64  `json:"snapshots"`
+	// Flushes / Compactions count the engine's background persistence
+	// operations during the measured window.
 	Flushes     uint64  `json:"flushes"`
 	Compactions uint64  `json:"compactions"`
 	Segments    int     `json:"segments"`
 	ElapsedS    float64 `json:"elapsed_s"`
 }
 
-// PersistenceResult is the full two-engine comparison written to
-// BENCH_persistence.json.
+// PersistenceResult is the run written to BENCH_persistence.json.
 type PersistenceResult struct {
 	Figure    string                `json:"figure"`
 	Clients   int                   `json:"clients"`
 	ReadFrac  float64               `json:"read_frac"`
 	Preload   int                   `json:"preload"`
 	TargetOps int                   `json:"target_ops"`
-	Snapshot  PersistenceModeResult `json:"snapshot"`
 	Segment   PersistenceModeResult `json:"segment"`
-	// P99ImprovementX is snapshot p99 over segment p99 (higher = segment
-	// wins); StallImprovementX the same for the max single-op stall.
-	P99ImprovementX   float64 `json:"p99_improvement_x"`
-	StallImprovementX float64 `json:"stall_improvement_x"`
 }
 
-func runPersistenceMode(mode string, cfg PersistenceConfig) (PersistenceModeResult, error) {
+func runPersistenceSegment(cfg PersistenceConfig) (PersistenceModeResult, error) {
 	dir, err := os.MkdirTemp("", "tvdp-persistence-*")
 	if err != nil {
 		return PersistenceModeResult{}, err
@@ -119,16 +102,7 @@ func runPersistenceMode(mode string, cfg PersistenceConfig) (PersistenceModeResu
 	defer os.RemoveAll(dir)
 	scfg := store.DefaultConfig()
 	scfg.Dir = dir
-	switch mode {
-	case "snapshot":
-		scfg.Engine = store.EngineSnapshot
-		scfg.SnapshotEvery = cfg.SnapshotEvery
-	case "segment":
-		scfg.Engine = store.EngineSegment
-		scfg.FlushThreshold = cfg.FlushThreshold
-	default:
-		return PersistenceModeResult{}, fmt.Errorf("experiments: unknown persistence mode %q", mode)
-	}
+	scfg.FlushThreshold = cfg.FlushThreshold
 	st, err := store.Open(scfg)
 	if err != nil {
 		return PersistenceModeResult{}, err
@@ -162,10 +136,13 @@ func runPersistenceMode(mode string, cfg PersistenceConfig) (PersistenceModeResu
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(cfg.Seed + int64(c)*7919))
 			out := &outs[c]
-			// Paced mode: op n fires at n×interval on this client's own
-			// clock. A stalled op makes the next ones late; they then run
-			// back-to-back until the schedule is caught up, so a stall
-			// shows up in latency without deflating the offered load.
+			// Paced mode: op n is due at n×interval on this client's own
+			// clock, and its latency counts from that intended send time.
+			// A stalled op makes the next ones late; they then run
+			// back-to-back until the schedule is caught up, and each is
+			// charged the time it spent waiting behind the stall — timing
+			// from the actual send would hide exactly the stalls this
+			// figure exists to show (coordinated omission).
 			var interval time.Duration
 			if cfg.TargetOps > 0 {
 				interval = time.Duration(float64(cfg.Clients) * float64(time.Second) / float64(cfg.TargetOps))
@@ -183,7 +160,10 @@ func runPersistenceMode(mode string, cfg PersistenceConfig) (PersistenceModeResu
 					}
 				}
 				isRead := rng.Float64() < cfg.ReadFrac
-				op := startStopwatch()
+				start := clock.elapsed()
+				if interval > 0 {
+					start = time.Duration(n) * interval
+				}
 				if isRead {
 					if _, err := st.Describe(uint64(rng.Intn(cfg.Preload)) + 1); err != nil {
 						out.err = err
@@ -195,7 +175,7 @@ func runPersistenceMode(mode string, cfg PersistenceConfig) (PersistenceModeResu
 					}
 					out.writes++
 				}
-				out.lat = append(out.lat, op.elapsed())
+				out.lat = append(out.lat, clock.elapsed()-start)
 				if out.err != nil {
 					return
 				}
@@ -214,7 +194,7 @@ func runPersistenceMode(mode string, cfg PersistenceConfig) (PersistenceModeResu
 	}
 
 	var all []time.Duration
-	res := PersistenceModeResult{Mode: mode, ElapsedS: elapsed.Seconds()}
+	res := PersistenceModeResult{Mode: "segment", ElapsedS: elapsed.Seconds()}
 	for c := range outs {
 		if outs[c].err != nil {
 			return PersistenceModeResult{}, fmt.Errorf("persistence bench client %d: %w", c, outs[c].err)
@@ -239,15 +219,13 @@ func runPersistenceMode(mode string, cfg PersistenceConfig) (PersistenceModeResu
 		res.MaxStallMs = float64(all[len(all)-1]) / float64(time.Millisecond)
 	}
 	post := st.EngineStats()
-	res.Snapshots = post.Snapshots - preStats.Snapshots
 	res.Flushes = post.Flushes - preStats.Flushes
 	res.Compactions = post.Compactions - preStats.Compactions
 	res.Segments = post.Segments
 	return res, nil
 }
 
-// RunPersistence runs the workload under both engines and returns the
-// comparison.
+// RunPersistence runs the workload and returns its measurements.
 func RunPersistence(cfg PersistenceConfig) (*PersistenceResult, error) {
 	if cfg.Clients <= 0 || cfg.Duration <= 0 {
 		return nil, fmt.Errorf("experiments: persistence config needs clients > 0 and duration > 0")
@@ -255,33 +233,21 @@ func RunPersistence(cfg PersistenceConfig) (*PersistenceResult, error) {
 	if cfg.Preload <= 0 {
 		return nil, fmt.Errorf("experiments: persistence config needs preload > 0")
 	}
-	if cfg.SnapshotEvery <= 0 || cfg.FlushThreshold <= 0 {
-		return nil, fmt.Errorf("experiments: persistence config needs SnapshotEvery > 0 and FlushThreshold > 0")
+	if cfg.FlushThreshold <= 0 {
+		return nil, fmt.Errorf("experiments: persistence config needs FlushThreshold > 0")
 	}
-	snap, err := runPersistenceMode("snapshot", cfg)
+	seg, err := runPersistenceSegment(cfg)
 	if err != nil {
 		return nil, err
 	}
-	seg, err := runPersistenceMode("segment", cfg)
-	if err != nil {
-		return nil, err
-	}
-	r := &PersistenceResult{
+	return &PersistenceResult{
 		Figure:    "persistence",
 		Clients:   cfg.Clients,
 		ReadFrac:  cfg.ReadFrac,
 		Preload:   cfg.Preload,
 		TargetOps: cfg.TargetOps,
-		Snapshot:  snap,
 		Segment:   seg,
-	}
-	if seg.P99Ms > 0 {
-		r.P99ImprovementX = snap.P99Ms / seg.P99Ms
-	}
-	if seg.MaxStallMs > 0 {
-		r.StallImprovementX = snap.MaxStallMs / seg.MaxStallMs
-	}
-	return r, nil
+	}, nil
 }
 
 // WriteJSON writes the result as indented JSON (BENCH_persistence.json).
@@ -300,15 +266,12 @@ func (r *PersistenceResult) Render() string {
 	if r.TargetOps > 0 {
 		pace = fmt.Sprintf("paced at %d ops/sec", r.TargetOps)
 	}
-	fmt.Fprintf(&b, "Persistence engines — %d clients, %.0f%% reads, %d preloaded images, %s\n",
+	fmt.Fprintf(&b, "Persistence (segment engine) — %d clients, %.0f%% reads, %d preloaded images, %s\n",
 		r.Clients, r.ReadFrac*100, r.Preload, pace)
-	fmt.Fprintf(&b, "%-10s %10s %9s %9s %12s %6s %7s %7s\n",
-		"engine", "ops/sec", "p50 ms", "p99 ms", "max stall ms", "snaps", "flushes", "compact")
-	for _, m := range []PersistenceModeResult{r.Snapshot, r.Segment} {
-		fmt.Fprintf(&b, "%-10s %10.0f %9.3f %9.3f %12.1f %6d %7d %7d\n",
-			m.Mode, m.OpsPerSec, m.P50Ms, m.P99Ms, m.MaxStallMs, m.Snapshots, m.Flushes, m.Compactions)
-	}
-	fmt.Fprintf(&b, "p99 improvement: %.2fx   max-stall improvement: %.2fx\n",
-		r.P99ImprovementX, r.StallImprovementX)
+	fmt.Fprintf(&b, "%-10s %10s %9s %9s %12s %7s %7s\n",
+		"engine", "ops/sec", "p50 ms", "p99 ms", "max stall ms", "flushes", "compact")
+	m := r.Segment
+	fmt.Fprintf(&b, "%-10s %10.0f %9.3f %9.3f %12.1f %7d %7d\n",
+		m.Mode, m.OpsPerSec, m.P50Ms, m.P99Ms, m.MaxStallMs, m.Flushes, m.Compactions)
 	return b.String()
 }

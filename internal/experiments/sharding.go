@@ -20,14 +20,11 @@ import (
 
 // Sharding scaling benchmark (`tvdp-bench -figure sharding`): the same
 // mixed read/write workload the serving figure uses, run against shard
-// coordinators of increasing width (1 → 2 → 4 → 8) with WAL
-// auto-compaction enabled. Compaction is where sharding pays even on a
-// single core and a single disk: a snapshot rewrites the whole corpus
-// under every write lock, so an unsharded store periodically stalls all
-// clients for an O(corpus) rewrite, while a sharded deployment rewrites
-// O(corpus/N) units that block only the owning shard — the other shards
-// keep serving through the stall, and total compaction bytes drop by a
-// factor of N. The run also asserts the merge-determinism contract:
+// coordinators of increasing width (1 → 2 → 4 → 8). Every shard is a
+// full segment-engine store with its own six subsystem locks, WAL
+// committer and flush/compaction worker, so a freeze-swap or a slow
+// commit blocks only the owning shard while the others keep serving.
+// The run also asserts the merge-determinism contract:
 // every partition-invariant query must return bit-identical results at
 // every shard count.
 
@@ -45,29 +42,24 @@ type ShardingConfig struct {
 	Preload int
 	// Sync enables SyncEveryWrite.
 	Sync bool
-	// SnapshotEvery auto-compacts each shard's WAL after this many
-	// logged ops — the stall sharding amortises.
-	SnapshotEvery int
 	// Seed drives workload RNGs and the determinism-check corpus.
 	Seed int64
 }
 
-// DefaultShardingConfig is the 1→2→4→8 sweep in the compaction-bound
-// regime: a large preloaded corpus, frequent auto-compaction, group
-// commit without per-write fsync (the snapshot itself still fsyncs).
-// SyncEveryWrite stays off by default because a per-batch fsync on one
+// DefaultShardingConfig is the 1→2→4→8 sweep over a large preloaded
+// corpus with group commit but no per-write fsync. SyncEveryWrite stays
+// off by default because a per-batch fsync on one
 // shared disk is deliberately *not* what this figure measures — see the
 // package comment.
 func DefaultShardingConfig() ShardingConfig {
 	return ShardingConfig{
-		Counts:        []int{1, 2, 4, 8},
-		Clients:       12,
-		ReadFrac:      0.5,
-		Duration:      2 * time.Second,
-		Preload:       8000,
-		Sync:          false,
-		SnapshotEvery: 256,
-		Seed:          1,
+		Counts:   []int{1, 2, 4, 8},
+		Clients:  12,
+		ReadFrac: 0.5,
+		Duration: 2 * time.Second,
+		Preload:  8000,
+		Sync:     false,
+		Seed:     1,
 	}
 }
 
@@ -92,7 +84,6 @@ type ShardingResult struct {
 	Clients        int             `json:"clients"`
 	ReadFrac       float64         `json:"read_frac"`
 	SyncEveryWrite bool            `json:"sync_every_write"`
-	SnapshotEvery  int             `json:"snapshot_every"`
 	Points         []ShardingPoint `json:"points"`
 	// TopKInvariant reports the merge-determinism check: bit-identical
 	// results for every partition-invariant query at every shard count
@@ -108,7 +99,7 @@ func runShardingPoint(n int, cfg ShardingConfig) (ShardingPoint, error) {
 	defer os.RemoveAll(dir)
 	co, err := shard.Open(shard.Config{
 		Dir: dir, ShardCount: n,
-		SyncEveryWrite: cfg.Sync, SnapshotEvery: cfg.SnapshotEvery,
+		SyncEveryWrite: cfg.Sync,
 	})
 	if err != nil {
 		return ShardingPoint{}, err
@@ -286,7 +277,6 @@ func RunSharding(cfg ShardingConfig) (*ShardingResult, error) {
 		Clients:        cfg.Clients,
 		ReadFrac:       cfg.ReadFrac,
 		SyncEveryWrite: cfg.Sync,
-		SnapshotEvery:  cfg.SnapshotEvery,
 	}
 	for _, n := range cfg.Counts {
 		p, err := runShardingPoint(n, cfg)
@@ -320,8 +310,8 @@ func (r *ShardingResult) WriteJSON(path string) error {
 // Render returns the result as a text table.
 func (r *ShardingResult) Render() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "Sharding scaling — %d clients, %.0f%% reads, SyncEveryWrite=%v, SnapshotEvery=%d\n",
-		r.Clients, r.ReadFrac*100, r.SyncEveryWrite, r.SnapshotEvery)
+	fmt.Fprintf(&b, "Sharding scaling — %d clients, %.0f%% reads, SyncEveryWrite=%v\n",
+		r.Clients, r.ReadFrac*100, r.SyncEveryWrite)
 	fmt.Fprintf(&b, "%-8s %10s %9s %9s %9s %9s %9s\n", "shards", "ops/sec", "p50 ms", "p99 ms", "max ms", "ops", "speedup")
 	for _, p := range r.Points {
 		fmt.Fprintf(&b, "%-8d %10.0f %9.3f %9.3f %9.1f %9d %8.2fx\n",

@@ -167,7 +167,6 @@ func TestNolintDirectives(t *testing.T) {
 // asserts the analyzer's mutex table equals the Store struct's
 // sync.RWMutex fields in declaration order — the same order the Store doc
 // comment documents — so the checker and the code cannot drift apart.
-// compactMu is a plain sync.Mutex and is deliberately outside the table.
 func TestStoreLockOrderMatchesStoreDecl(t *testing.T) {
 	fset := token.NewFileSet()
 	f, err := parser.ParseFile(fset, filepath.Join("..", "store", "store.go"), nil, 0)
@@ -229,8 +228,7 @@ func TestStoreGuardedByMatchesStoreDecl(t *testing.T) {
 		"text":            "kwMu",
 		"spatial":         "geoMu",
 		"temporal":        "geoMu",
-		"gen":             "flushMu|geoMu",
-		"walOps":          "compactMu",
+		"gen":             "flushMu",
 		"memFreed":        "memThrottleMu",
 	}
 	fset := token.NewFileSet()

@@ -26,9 +26,7 @@ import (
 //
 // The analyzer also flags blocking file I/O performed while any subsystem
 // lock is held (fsync, file writes, renames — directly or through the
-// same-package call graph at any depth). Holding every lock across a
-// snapshot's fsync is the one sanctioned exception and carries its nolint
-// justification in store.go.
+// same-package call graph at any depth).
 //
 // Approximations, chosen to match the store's idiom: function literals are
 // treated as executing where they are defined (the `unlock := func() {...}`

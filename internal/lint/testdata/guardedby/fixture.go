@@ -171,7 +171,7 @@ func (b *box) neitherAlt(n int) {
 	b.either = n // want "write to either"
 }
 
-// trySkip mirrors maybeCompact: TryLock whose failure branch bails.
+// trySkip is the skip-if-busy idiom: TryLock whose failure branch bails.
 func (b *box) trySkip(n int) {
 	if !b.mu.TryLock() {
 		return

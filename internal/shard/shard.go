@@ -17,8 +17,8 @@
 // placement is well defined.
 //
 // ShardCount == 1 is byte-compatible with a bare *store.Store: the single
-// shard opens cfg.Dir itself and writes the same WAL/snapshot files a
-// non-sharded deployment would.
+// shard opens cfg.Dir itself and writes the same manifest, segment and
+// WAL files a non-sharded deployment would.
 package shard
 
 import (
@@ -58,13 +58,11 @@ type Config struct {
 	Dir string
 	// ShardCount is the number of partitions; 0 and 1 both mean one.
 	ShardCount      int
-	Engine          store.Engine
 	WALSync         store.WALSyncMode
 	SyncEveryWrite  bool
 	RTree           index.RTreeConfig
 	LSH             index.LSHConfig
 	HybridKinds     []string
-	SnapshotEvery   int
 	FlushThreshold  int64
 	CompactSegments int
 }
@@ -92,13 +90,11 @@ func Open(cfg Config) (*Coordinator, error) {
 	c := &Coordinator{cfg: cfg}
 	for i := 0; i < n; i++ {
 		scfg := store.Config{
-			Engine:          cfg.Engine,
 			WALSync:         cfg.WALSync,
 			SyncEveryWrite:  cfg.SyncEveryWrite,
 			RTree:           cfg.RTree,
 			LSH:             cfg.LSH,
 			HybridKinds:     cfg.HybridKinds,
-			SnapshotEvery:   cfg.SnapshotEvery,
 			FlushThreshold:  cfg.FlushThreshold,
 			CompactSegments: cfg.CompactSegments,
 		}
@@ -228,7 +224,7 @@ func (c *Coordinator) Close() error {
 	return errors.Join(errs...)
 }
 
-// Snapshot compacts every shard's WAL.
+// Snapshot forces a memtable flush on every shard.
 func (c *Coordinator) Snapshot() error {
 	var errs []error
 	for i, s := range c.shards {

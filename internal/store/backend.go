@@ -26,6 +26,7 @@ import (
 type Backend interface {
 	// Lifecycle.
 	Close() error
+	// Snapshot forces a memtable flush (no-op when memory-only).
 	Snapshot() error
 	Generation() uint64
 

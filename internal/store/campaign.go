@@ -60,7 +60,7 @@ func (s *Store) CreateCampaign(c CampaignRec) (uint64, error) {
 	}
 	wait := s.enqueue(frame)
 	s.catalogMu.Unlock()
-	if err := s.awaitCommit(wait, 1); err != nil {
+	if err := s.awaitCommit(wait); err != nil {
 		return 0, err
 	}
 	return c.ID, nil

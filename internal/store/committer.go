@@ -208,39 +208,12 @@ func (c *walCommitter) flushBufLocked() error {
 	return nil
 }
 
-// rotate flushes every pending frame to the retiring log, closes it, and
-// installs the writer produced by makeNew — the WAL half of snapshot
-// compaction. Callers hold every subsystem write lock, so no new frames
-// can be enqueued while the swap is in flight.
-//
-//tvdp:requires catalogMu,imagesMu,featMu,annMu,kwMu,geoMu
-func (c *walCommitter) rotate(makeNew func() (*walWriter, error)) error {
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	c.commitLocked()
-	if err := c.flushBufLocked(); err != nil {
-		c.w = nil
-		return err
-	}
-	if err := c.w.close(); err != nil {
-		c.w = nil
-		return err
-	}
-	w, err := makeNew()
-	if err != nil {
-		c.w = nil
-		return err
-	}
-	c.w = w
-	return nil
-}
-
 // presync makes every byte so far written to the current log durable —
 // the out-of-lock half of the rotation chain invariant (see rotateTo).
 // The segment engine calls it just before taking the subsystem locks so
 // that rotateTo's own fsync, which does run under them, covers only the
 // handful of frames that arrive in between. Any failure leaves the
-// committer write-dead, as in rotate: after a failed buffer flush the
+// committer write-dead (w = nil): after a failed buffer flush the
 // log may hold a partial batch mid-file, and after a failed fsync the
 // kernel may have dropped the dirty pages — either way appending further
 // frames could persist a log with a hole in it.
@@ -262,7 +235,8 @@ func (c *walCommitter) presync() error {
 	return nil
 }
 
-// rotateTo is rotate with the replacement writer already created — the
+// rotateTo drains every pending frame into the retiring log and swaps in
+// the replacement writer, which the caller has already created — the
 // segment engine builds the next generation's log (two fsyncs) and syncs
 // the retiring log's backlog (presync) before taking any subsystem lock,
 // so the freeze-swap under all six locks drains the pending batch into
@@ -270,8 +244,7 @@ func (c *walCommitter) presync() error {
 // O(queued frames), never O(corpus). The retiring writer is returned
 // still open for the caller to close once the locks are released.
 // Callers hold every subsystem write lock. On failure the replacement is
-// closed and the committer goes write-dead (w = nil), exactly like a
-// failed rotate.
+// closed and the committer goes write-dead (w = nil), as in presync.
 //
 //tvdp:requires catalogMu,imagesMu,featMu,annMu,kwMu,geoMu
 func (c *walCommitter) rotateTo(w *walWriter) (*walWriter, error) {

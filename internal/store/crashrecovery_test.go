@@ -1,8 +1,6 @@
 package store
 
 import (
-	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"os"
 	"path/filepath"
@@ -91,21 +89,21 @@ func fingerprint(s *Store, probeImg, probeUser uint64) walState {
 }
 
 // recordedWorkload drives a mixed op sequence against a SyncEveryWrite
-// store and records, after every synced op, the WAL size and the expected
-// observable state. Returns the checkpoints, the final WAL bytes, and the
-// probe IDs.
-func recordedWorkload(t *testing.T) (cps []walState, wal []byte, probeImg, probeUser uint64) {
+// store and records, after every synced op, the size of the live log
+// (wal-000001.log — the workload stays far below the flush threshold)
+// and the expected observable state. Returns the checkpoints, the final
+// log and MANIFEST bytes, and the probe IDs.
+func recordedWorkload(t *testing.T) (cps []walState, wal, man []byte, probeImg, probeUser uint64) {
 	t.Helper()
 	dir := t.TempDir()
 	cfg := DefaultConfig()
 	cfg.Dir = dir
-	cfg.Engine = EngineSnapshot
 	cfg.SyncEveryWrite = true
 	s, err := Open(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	walPath := filepath.Join(dir, walFile)
+	walPath := filepath.Join(dir, walName(1))
 	record := func() {
 		info, err := os.Stat(walPath)
 		if err != nil {
@@ -164,15 +162,20 @@ func recordedWorkload(t *testing.T) (cps []walState, wal []byte, probeImg, probe
 	if int64(len(wal)) != cps[len(cps)-1].walSize {
 		t.Fatalf("final WAL size %d != last checkpoint %d", len(wal), cps[len(cps)-1].walSize)
 	}
-	return cps, wal, probeImg, probeUser
+	if man, err = os.ReadFile(filepath.Join(dir, manifestFile)); err != nil {
+		t.Fatal(err)
+	}
+	return cps, wal, man, probeImg, probeUser
 }
 
 // TestKillAtEveryOffset is the crash-recovery property test: the recorded
-// WAL is cut at every byte offset and Open must always succeed,
-// recovering exactly the synced prefix — every record whose final byte
-// made it to disk, nothing after the cut.
+// live log is cut at every byte offset and Open must recover exactly the
+// synced prefix — every record whose final byte made it to disk, nothing
+// after the cut. createWAL installs a log's header whole (temp + rename),
+// so a cut inside the header is not a crash image but corruption, and
+// Open must refuse it.
 func TestKillAtEveryOffset(t *testing.T) {
-	cps, wal, probeImg, probeUser := recordedWorkload(t)
+	cps, wal, man, probeImg, probeUser := recordedWorkload(t)
 	// Recovery fsyncs during repair, so each offset costs real I/O; shard
 	// the sweep across workers with private directories.
 	workers := 8 * runtime.GOMAXPROCS(0) // I/O-bound: overlap the per-offset fsyncs
@@ -182,16 +185,25 @@ func TestKillAtEveryOffset(t *testing.T) {
 		wg.Add(1)
 		go func(w int, dir string) {
 			defer wg.Done()
-			walPath := filepath.Join(dir, walFile)
+			walPath := filepath.Join(dir, walName(1))
+			if err := os.WriteFile(filepath.Join(dir, manifestFile), man, 0o644); err != nil {
+				t.Error(err)
+				return
+			}
 			cfg := DefaultConfig()
 			cfg.Dir = dir
-			cfg.Engine = EngineSnapshot
 			for k := w; k <= len(wal); k += workers {
 				if err := os.WriteFile(walPath, wal[:k], 0o644); err != nil {
 					t.Error(err)
 					return
 				}
 				r, err := Open(cfg)
+				if k < walHeaderSize {
+					if !errors.Is(err, ErrWALCorrupt) {
+						t.Errorf("offset %d: Open = %v, want ErrWALCorrupt for a torn header", k, err)
+					}
+					continue
+				}
 				if err != nil {
 					t.Errorf("offset %d: Open failed: %v", k, err)
 					return
@@ -267,19 +279,19 @@ func TestFaultInjectedTornWrites(t *testing.T) {
 	}
 }
 
-// TestBitFlipSurfacesCorruption flips one bit early in the log (with
-// intact records behind it) and requires Open to fail with ErrWALCorrupt
-// rather than silently dropping or misreading data. Damage confined to
-// the final frame, by contrast, is indistinguishable from a torn append
-// and is repaired away.
+// TestBitFlipSurfacesCorruption flips one bit early in the live log
+// (with intact records behind it) and requires Open to fail with
+// ErrWALCorrupt rather than silently dropping or misreading data. Damage
+// confined to the final frame, by contrast, is indistinguishable from a
+// torn append and is repaired away.
 func TestBitFlipSurfacesCorruption(t *testing.T) {
 	build := func(t *testing.T, flipOffset int64) string {
 		dir := t.TempDir()
 		if flipOffset >= 0 {
-			restore := installFault(faultBitFlip, flipOffset)
+			restore := installFaultMatch(faultBitFlip, flipOffset, walName(1))
 			defer restore()
 		}
-		s := snapStore(t, dir)
+		s := diskStore(t, dir)
 		for i := 0; i < 4; i++ {
 			if _, err := s.AddImage(tinyImage(t, float64(i*30))); err != nil {
 				t.Fatal(err)
@@ -296,7 +308,6 @@ func TestBitFlipSurfacesCorruption(t *testing.T) {
 		dir := build(t, walHeaderSize+walFrameHeaderSize+40)
 		cfg := DefaultConfig()
 		cfg.Dir = dir
-		cfg.Engine = EngineSnapshot
 		_, err := Open(cfg)
 		if !errors.Is(err, ErrWALCorrupt) {
 			t.Fatalf("Open = %v, want ErrWALCorrupt", err)
@@ -305,7 +316,7 @@ func TestBitFlipSurfacesCorruption(t *testing.T) {
 
 	t.Run("final-frame", func(t *testing.T) {
 		dir := build(t, -1)
-		walPath := filepath.Join(dir, walFile)
+		walPath := filepath.Join(dir, walName(1))
 		data, err := os.ReadFile(walPath)
 		if err != nil {
 			t.Fatal(err)
@@ -314,246 +325,10 @@ func TestBitFlipSurfacesCorruption(t *testing.T) {
 		if err := os.WriteFile(walPath, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		r := snapStore(t, dir)
+		r := diskStore(t, dir)
 		defer r.Close()
 		if got := r.NumImages(); got != 3 {
 			t.Fatalf("recovered %d images after final-frame damage, want 3", got)
 		}
 	})
-}
-
-// TestSnapshotCrashDiscardsStaleWAL drives the exact double-apply
-// interleaving: Snapshot() installs the new snapshot, then the failpoint
-// kills the process before the new WAL replaces the old one. Recovery
-// must see the old log's stale generation and discard it — replaying it
-// would re-apply ops the snapshot already contains.
-func TestSnapshotCrashDiscardsStaleWAL(t *testing.T) {
-	dir := t.TempDir()
-	s := snapStore(t, dir)
-	id1, err := s.AddImage(tinyImage(t, 10))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Snapshot(); err != nil { // generation 1
-		t.Fatal(err)
-	}
-	id2, err := s.AddImage(tinyImage(t, 20))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.AddKeywords(id2, []string{"lamp"}); err != nil {
-		t.Fatal(err)
-	}
-	// Crash between snapshot install and WAL reset: the fault trips on the
-	// first header byte of the replacement log.
-	restore := installFault(faultCut, 0)
-	err = s.Snapshot()
-	restore()
-	if err == nil {
-		t.Fatal("Snapshot survived injected fault")
-	}
-	// On-disk crash image: generation-2 snapshot plus the old generation-1
-	// WAL still holding id2's add-image and add-keywords ops.
-	walData, err := os.ReadFile(filepath.Join(dir, walFile))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gen := binary.LittleEndian.Uint64(walData[8:16]); gen != 1 || int64(len(walData)) <= walHeaderSize {
-		t.Fatalf("crash image wrong: wal gen %d size %d, want stale gen-1 log with ops", gen, len(walData))
-	}
-
-	r := snapStore(t, dir)
-	defer r.Close()
-	if got := r.NumImages(); got != 2 {
-		t.Fatalf("recovered %d images, want 2", got)
-	}
-	if _, err := r.GetImage(id1); err != nil {
-		t.Fatal(err)
-	}
-	// The tell: replaying the stale log would double-apply, duplicating
-	// id2's keywords (or failing outright on the duplicate image ID).
-	if kw := r.KeywordsFor(id2); len(kw) != 1 || kw[0] != "lamp" {
-		t.Fatalf("keywords for %d = %v, want exactly [lamp]", id2, kw)
-	}
-	// The recovered store keeps its durability: new writes survive another
-	// reopen.
-	if _, err := r.AddImage(tinyImage(t, 30)); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Close(); err != nil {
-		t.Fatal(err)
-	}
-	r2 := snapStore(t, dir)
-	defer r2.Close()
-	if got := r2.NumImages(); got != 3 {
-		t.Fatalf("post-recovery write lost: %d images, want 3", got)
-	}
-}
-
-// TestLegacyWALMigration forges a v1 log (one continuous gob stream, the
-// way the old engine wrote it), opens the store, and checks the data is
-// recovered and the file rewritten as v2 — after which append and reopen
-// behave like any other v2 log.
-func TestLegacyWALMigration(t *testing.T) {
-	forgeLegacy := func(t *testing.T, dir string, truncateBy int64) {
-		t.Helper()
-		f, err := os.Create(filepath.Join(dir, walFile))
-		if err != nil {
-			t.Fatal(err)
-		}
-		enc := gob.NewEncoder(f)
-		for i := 1; i <= 3; i++ {
-			img := tinyImage(t, float64(i*20))
-			img.ID = uint64(i)
-			img.Scene = img.FOV.SceneLocation()
-			if err := enc.Encode(walOp{Kind: opAddImage, Image: &img}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := enc.Encode(walOp{Kind: opAddKeywords, Keyword: &keywordOp{ImageID: 1, Words: []string{"legacy"}}}); err != nil {
-			t.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			t.Fatal(err)
-		}
-		if truncateBy > 0 {
-			info, err := os.Stat(filepath.Join(dir, walFile))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := os.Truncate(filepath.Join(dir, walFile), info.Size()-truncateBy); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-
-	t.Run("clean", func(t *testing.T) {
-		dir := t.TempDir()
-		forgeLegacy(t, dir, 0)
-		s := snapStore(t, dir)
-		if got := s.NumImages(); got != 3 {
-			t.Fatalf("migrated %d images, want 3", got)
-		}
-		if kw := s.KeywordsFor(1); len(kw) != 1 || kw[0] != "legacy" {
-			t.Fatalf("keywords = %v, want [legacy]", kw)
-		}
-		// The file was rewritten in the v2 format.
-		data, err := os.ReadFile(filepath.Join(dir, walFile))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(data) < walHeaderSize || data[0] != walMagic[0] {
-			t.Fatalf("WAL not migrated to v2 (first bytes %x)", data[:8])
-		}
-		// And append-after-reopen — the operation that killed v1 — works.
-		if _, err := s.AddImage(tinyImage(t, 300)); err != nil {
-			t.Fatal(err)
-		}
-		if err := s.Close(); err != nil {
-			t.Fatal(err)
-		}
-		r := snapStore(t, dir)
-		defer r.Close()
-		if got := r.NumImages(); got != 4 {
-			t.Fatalf("post-migration reopen: %d images, want 4", got)
-		}
-	})
-
-	t.Run("torn-tail", func(t *testing.T) {
-		dir := t.TempDir()
-		forgeLegacy(t, dir, 10) // cuts into the final (keywords) record
-		s := snapStore(t, dir)
-		defer s.Close()
-		if got := s.NumImages(); got != 3 {
-			t.Fatalf("migrated %d images from torn legacy log, want 3", got)
-		}
-		if kw := s.KeywordsFor(1); len(kw) != 0 {
-			t.Fatalf("torn final record resurrected: keywords = %v", kw)
-		}
-	})
-}
-
-// TestSnapshotPlusWALOffsetSweep repeats the kill-at-every-offset check
-// for a log that rides on top of a snapshot, ensuring generation handling
-// and prefix recovery compose.
-func TestSnapshotPlusWALOffsetSweep(t *testing.T) {
-	src := t.TempDir()
-	cfg := DefaultConfig()
-	cfg.Dir = src
-	cfg.Engine = EngineSnapshot
-	cfg.SyncEveryWrite = true
-	s, err := Open(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		if _, err := s.AddImage(tinyImage(t, float64(i*15))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := s.Snapshot(); err != nil {
-		t.Fatal(err)
-	}
-	walPath := filepath.Join(src, walFile)
-	sizes := []int64{walHeaderSize}
-	for i := 0; i < 3; i++ {
-		if _, err := s.AddImage(tinyImage(t, float64(100+i*15))); err != nil {
-			t.Fatal(err)
-		}
-		info, err := os.Stat(walPath)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sizes = append(sizes, info.Size())
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	wal, err := os.ReadFile(walPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	snap, err := os.ReadFile(filepath.Join(src, snapshotFile))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	workers := 8 * runtime.GOMAXPROCS(0) // I/O-bound: overlap the per-offset fsyncs
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		dir := t.TempDir()
-		wg.Add(1)
-		go func(w int, dir string) {
-			defer wg.Done()
-			if err := os.WriteFile(filepath.Join(dir, snapshotFile), snap, 0o644); err != nil {
-				t.Error(err)
-				return
-			}
-			rcfg := DefaultConfig()
-			rcfg.Dir = dir
-			rcfg.Engine = EngineSnapshot
-			for k := w; k <= len(wal); k += workers {
-				if err := os.WriteFile(filepath.Join(dir, walFile), wal[:k], 0o644); err != nil {
-					t.Error(err)
-					return
-				}
-				r, err := Open(rcfg)
-				if err != nil {
-					t.Errorf("offset %d: Open failed: %v", k, err)
-					return
-				}
-				want := 3 // snapshot baseline
-				for _, sz := range sizes {
-					if sz <= int64(k) && sz > walHeaderSize {
-						want++
-					}
-				}
-				if got := r.NumImages(); got != want {
-					t.Errorf("offset %d: recovered %d images, want %d", k, got, want)
-				}
-				r.Close()
-			}
-		}(w, dir)
-	}
-	wg.Wait()
 }

@@ -12,12 +12,12 @@ import (
 	"repro/internal/imagesim"
 )
 
-// TestTornWALTailIsTolerated simulates a crash mid-append: the WAL's last
-// bytes are truncated and recovery must load the intact prefix without
-// error.
+// TestTornWALTailIsTolerated simulates a crash mid-append: the live
+// log's last bytes are truncated and recovery must load the intact
+// prefix without error.
 func TestTornWALTailIsTolerated(t *testing.T) {
 	dir := t.TempDir()
-	s := snapStore(t, dir)
+	s := diskStore(t, dir)
 	var ids []uint64
 	for i := 0; i < 20; i++ {
 		id, err := s.AddImage(testImage(t, float64(i*17%360)))
@@ -30,7 +30,7 @@ func TestTornWALTailIsTolerated(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Tear the tail off the WAL.
-	walPath := filepath.Join(dir, walFile)
+	walPath := filepath.Join(dir, walName(1))
 	info, err := os.Stat(walPath)
 	if err != nil {
 		t.Fatal(err)
@@ -38,7 +38,7 @@ func TestTornWALTailIsTolerated(t *testing.T) {
 	if err := os.Truncate(walPath, info.Size()-25); err != nil {
 		t.Fatal(err)
 	}
-	r := snapStore(t, dir)
+	r := diskStore(t, dir)
 	defer r.Close()
 	// At most the final record is lost; everything before must be intact.
 	if n := r.NumImages(); n < 19 || n > 20 {
@@ -50,29 +50,6 @@ func TestTornWALTailIsTolerated(t *testing.T) {
 	// The store remains writable after torn-tail recovery.
 	if _, err := r.AddImage(testImage(t, 200)); err != nil {
 		t.Fatalf("write after torn recovery: %v", err)
-	}
-}
-
-// TestCorruptSnapshotSurfacesError ensures a mangled snapshot does not
-// silently produce an empty store.
-func TestCorruptSnapshotSurfacesError(t *testing.T) {
-	dir := t.TempDir()
-	s := snapStore(t, dir)
-	if _, err := s.AddImage(testImage(t, 1)); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Snapshot(); err != nil {
-		t.Fatal(err)
-	}
-	s.Close()
-	if err := os.WriteFile(filepath.Join(dir, snapshotFile), []byte("garbage"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	cfg := DefaultConfig()
-	cfg.Dir = dir
-	cfg.Engine = EngineSnapshot
-	if _, err := Open(cfg); err == nil {
-		t.Fatal("corrupt snapshot accepted")
 	}
 }
 
@@ -198,7 +175,8 @@ func TestWALRoundTripProperty(t *testing.T) {
 	}
 }
 
-// TestSnapshotThenWALProperty mixes snapshots into the op stream.
+// TestSnapshotThenWALProperty mixes forced flushes (Snapshot) into the
+// op stream.
 func TestSnapshotThenWALProperty(t *testing.T) {
 	dir := t.TempDir()
 	s := diskStore(t, dir)
@@ -220,43 +198,5 @@ func TestSnapshotThenWALProperty(t *testing.T) {
 	defer r.Close()
 	if r.NumImages() != want {
 		t.Fatalf("recovered %d, want %d", r.NumImages(), want)
-	}
-}
-
-func TestAutoCompaction(t *testing.T) {
-	dir := t.TempDir()
-	cfg := DefaultConfig()
-	cfg.Dir = dir
-	cfg.Engine = EngineSnapshot
-	cfg.SnapshotEvery = 10
-	s, err := Open(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 35; i++ {
-		if _, err := s.AddImage(testImage(t, float64(i*10%360))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Three compactions should have fired: the WAL holds at most the
-	// last few ops while the snapshot carries the rest.
-	walInfo, err := os.Stat(filepath.Join(dir, walFile))
-	if err != nil {
-		t.Fatal(err)
-	}
-	snapInfo, err := os.Stat(filepath.Join(dir, snapshotFile))
-	if err != nil {
-		t.Fatalf("auto-compaction never wrote a snapshot: %v", err)
-	}
-	if walInfo.Size() >= snapInfo.Size() {
-		t.Fatalf("wal (%d B) not smaller than snapshot (%d B)", walInfo.Size(), snapInfo.Size())
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	r := snapStore(t, dir)
-	defer r.Close()
-	if r.NumImages() != 35 {
-		t.Fatalf("recovered %d/35 after auto-compaction", r.NumImages())
 	}
 }

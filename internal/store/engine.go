@@ -18,8 +18,9 @@ import (
 // *outside* the six subsystem locks. Only the freeze-swap itself holds
 // them, and it does O(queued frames) work — drain the pending batch into
 // the retiring log, swap the memtable and writer pointers — never
-// O(corpus). That removes the snapshot engine's stop-the-world stall,
-// which grows with corpus size and was the dominant tail-latency cost.
+// O(corpus). That avoids the stop-the-world stall of the full-snapshot
+// design it replaced, which grew with corpus size and was the dominant
+// tail-latency cost.
 //
 // On-disk layout under Config.Dir:
 //
@@ -57,8 +58,8 @@ import (
 // that fully-synced bytes went missing: that is media corruption and
 // refuses to open. A directory holding the legacy snapshot.gob/wal.gob
 // layout (and no MANIFEST) is migrated in place: state loads through the
-// legacy path once, is written out as segment 1, and the legacy files
-// are removed.
+// read-only legacy loader once, is written out as segment 1, and the
+// legacy files are removed (migrateLegacy).
 //
 // Compaction (compactOnce) runs on its own goroutine, concurrent with
 // flushing, with no subsystem lock ever held: when the live segment
@@ -240,7 +241,7 @@ func (e *segEngine) flushLocked() error {
 	// Pre-create the next generation's log outside every lock: its two
 	// fsyncs are the expensive part of rotation.
 	newGen := s.gen + 1
-	w, err := createWAL(s.cfg.Dir, walName(newGen), newGen, nil, s.cfg.WALSync)
+	w, err := createWAL(s.cfg.Dir, newGen, s.cfg.WALSync)
 	if err != nil {
 		return err
 	}
@@ -576,7 +577,7 @@ func (s *Store) startSegment(man manifest, entries []os.DirEntry) error {
 	} else {
 		var err error
 		s.gen = man.FlushedGen + 1
-		w, err = createWAL(dir, walName(s.gen), s.gen, nil, s.cfg.WALSync)
+		w, err = createWAL(dir, s.gen, s.cfg.WALSync)
 		if err != nil {
 			return err
 		}
@@ -698,11 +699,12 @@ func (s *Store) loadSegment(seg *segmentData) error {
 }
 
 // migrateLegacy converts a legacy snapshot.gob/wal.gob directory to the
-// segment layout in place: load state through the legacy path, write it
-// out as segment 1, install the manifest, delete the legacy files. A
-// crash before the manifest install leaves the legacy layout intact
-// (migration simply reruns); after it, the stale legacy files are swept
-// by the next open.
+// segment layout in place: load state through the read-only legacy
+// loader (readSnapshot + replayLegacyWAL), write it out as segment 1,
+// install the manifest, delete the legacy files. Nothing is written
+// before the segment, so a failure or crash before the manifest install
+// leaves the legacy files byte-identical and migration simply reruns;
+// after it, the stale legacy files are swept by the next open.
 //
 //tvdp:serial legacy migration runs single-threaded at Open
 func (s *Store) migrateLegacy() error {
@@ -717,12 +719,8 @@ func (s *Store) migrateLegacy() error {
 		}
 		s.gen = snap.Generation
 	}
-	w, err := recoverWAL(dir, s.gen, s.cfg.WALSync, s.applyOp)
-	if err != nil {
+	if err := replayLegacyWAL(dir, s.gen, s.applyOp); err != nil {
 		return err
-	}
-	if err := w.close(); err != nil {
-		return fmt.Errorf("store: closing legacy WAL after migration replay: %w", err)
 	}
 	seg := s.stateToSegment()
 	nbytes, err := writeSegment(dir, segName(1), seg)
@@ -750,8 +748,7 @@ func (s *Store) migrateLegacy() error {
 }
 
 // stateToSegment serialises the whole in-memory state as one segment —
-// the migration image. Single-threaded at Open; mirrors snapshotLocked's
-// sorted collection.
+// the migration image. Single-threaded at Open.
 //
 //tvdp:serial runs single-threaded at Open, before the store is shared
 func (s *Store) stateToSegment() *segmentData {
@@ -797,10 +794,7 @@ func (s *Store) stateToSegment() *segmentData {
 
 // EngineStats reports persistence-engine activity since Open.
 type EngineStats struct {
-	// Engine is the configured persistence engine.
-	Engine Engine
-	// Segments and SegmentBytes describe the live segment set (segment
-	// engine only).
+	// Segments and SegmentBytes describe the live segment set.
 	Segments     int
 	SegmentBytes int64
 	// MemBytes is the current memtable's WAL-byte footprint — the bound
@@ -809,14 +803,12 @@ type EngineStats struct {
 	// Flushes and Compactions count completed background operations.
 	Flushes     uint64
 	Compactions uint64
-	// Snapshots counts full-snapshot compactions (snapshot engine only).
-	Snapshots uint64
 }
 
-// EngineStats returns persistence counters (zero Engine stats for
-// memory-only stores).
+// EngineStats returns persistence counters (zero for memory-only
+// stores).
 func (s *Store) EngineStats() EngineStats {
-	st := EngineStats{Engine: s.cfg.Engine, Snapshots: s.snaps.Load()}
+	var st EngineStats
 	if s.eng == nil {
 		return st
 	}

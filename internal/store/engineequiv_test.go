@@ -160,15 +160,14 @@ func diffSurfaces(t *testing.T, label, want, got string) {
 	t.Fatalf("%s: query surfaces differ in length (%d vs %d lines)", label, len(wl), len(gl))
 }
 
-// TestEngineEquivalence runs the fixed workload through the snapshot
-// engine and the segment engine (with forced flushes splitting it across
-// segments) and requires identical query surfaces — live, after
-// compaction, and after a reopen of each.
+// TestEngineEquivalence runs the fixed workload through a memory-only
+// store (the reference: no persistence at all) and the segment engine
+// (with forced flushes splitting it across segments) and requires
+// identical query surfaces — live, after compaction, and after a reopen.
 func TestEngineEquivalence(t *testing.T) {
-	snapDir := t.TempDir()
-	snap := snapStore(t, snapDir)
-	equivWorkload(t, snap, func() {})
-	want := querySurface(t, snap)
+	ref := memStore(t)
+	equivWorkload(t, ref, func() {})
+	want := querySurface(t, ref)
 
 	segDir := t.TempDir()
 	seg := diskStore(t, segDir)
@@ -186,29 +185,24 @@ func TestEngineEquivalence(t *testing.T) {
 	}
 	diffSurfaces(t, "segment compacted", want, querySurface(t, seg))
 
-	if err := snap.Close(); err != nil {
-		t.Fatal(err)
-	}
 	if err := seg.Close(); err != nil {
 		t.Fatal(err)
 	}
-	snap2 := snapStore(t, snapDir)
-	defer snap2.Close()
-	diffSurfaces(t, "snapshot reopened", want, querySurface(t, snap2))
 	seg2 := diskStore(t, segDir)
 	defer seg2.Close()
 	diffSurfaces(t, "segment reopened", want, querySurface(t, seg2))
 }
 
 // TestGenerationMovesOnEveryWrite pins the Backend contract the caches
-// depend on: every data-plane write advances Generation(), under both
-// engines.
+// depend on: every data-plane write advances Generation(), on memory-only
+// and segment-engine stores alike.
 func TestGenerationMovesOnEveryWrite(t *testing.T) {
-	for _, engine := range []Engine{EngineSnapshot, EngineSegment} {
-		t.Run(string(engine), func(t *testing.T) {
+	for _, mode := range []string{"memory", "segment"} {
+		t.Run(mode, func(t *testing.T) {
 			cfg := DefaultConfig()
-			cfg.Dir = t.TempDir()
-			cfg.Engine = engine
+			if mode == "segment" {
+				cfg.Dir = t.TempDir()
+			}
 			s, err := Open(cfg)
 			if err != nil {
 				t.Fatal(err)

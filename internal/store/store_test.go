@@ -37,20 +37,6 @@ func diskStore(t *testing.T, dir string) *Store {
 	return s
 }
 
-// snapStore opens dir under the legacy snapshot engine — used by tests
-// that manipulate the snapshot.gob/wal.gob layout directly.
-func snapStore(t *testing.T, dir string) *Store {
-	t.Helper()
-	cfg := DefaultConfig()
-	cfg.Dir = dir
-	cfg.Engine = EngineSnapshot
-	s, err := Open(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return s
-}
-
 func testImage(t *testing.T, brg float64) Image {
 	t.Helper()
 	px := imagesim.MustNew(16, 16)

@@ -146,7 +146,7 @@ func (s *Store) AddVideo(description, workerID string, frames []Frame) (uint64, 
 		wait = s.enqueueN(batch, uint64(ops))
 	}
 	unlock()
-	if err := s.awaitCommit(wait, ops); err != nil {
+	if err := s.awaitCommit(wait); err != nil {
 		return 0, nil, err
 	}
 	return videoID, frameIDs, nil
@@ -183,7 +183,7 @@ func (s *Store) PutVideo(v Video) (uint64, error) {
 	}
 	wait := s.enqueue(frame)
 	s.catalogMu.Unlock()
-	if err := s.awaitCommit(wait, 1); err != nil {
+	if err := s.awaitCommit(wait); err != nil {
 		return 0, err
 	}
 	return v.ID, nil
@@ -283,7 +283,7 @@ func (s *Store) AddAugmented(parentID uint64, pixels *imagesim.Image) (uint64, e
 	}
 	wait := s.enqueue(frame)
 	unlock()
-	if err := s.awaitCommit(wait, 1); err != nil {
+	if err := s.awaitCommit(wait); err != nil {
 		return 0, err
 	}
 	return img.ID, nil

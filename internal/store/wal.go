@@ -15,15 +15,9 @@ import (
 	"sync"
 )
 
-// Durability layout (snapshot engine): <dir>/snapshot.gob holds a full
-// state image tagged with a generation number; <dir>/wal.gob holds
-// operations applied since the snapshot of the same generation. Open
-// loads the snapshot (if any), replays a generation-matching WAL, and
-// discards a stale one; Snapshot() compacts by installing a fresh
-// snapshot and starting a new log. The segment engine (engine.go) reuses
-// the same frame format over per-generation log files (wal-%06d.log).
-//
-// WAL v2 record format. The file starts with a 16-byte header:
+// WAL v2 record format, shared by the segment engine's per-generation
+// logs (wal-%06d.log, engine.go) and the legacy snapshot layout's single
+// wal.gob. The file starts with a 16-byte header:
 //
 //	magic (8 bytes) | generation (8 bytes, little-endian)
 //
@@ -41,9 +35,15 @@ import (
 // its checksum at end-of-file — a torn write — and repairs the log by
 // truncating it there. A checksum failure or impossible length with
 // further data behind it is mid-log corruption and surfaces as
-// ErrWALCorrupt instead of being silently dropped. Legacy v1 logs (a bare
-// gob stream, recognisable because a gob stream can never begin with the
-// magic's first byte) are replayed once and rewritten in place as v2.
+// ErrWALCorrupt instead of being silently dropped.
+//
+// Legacy layout: older releases kept a full state image in snapshot.gob
+// (tagged with a generation number) plus a wal.gob of the ops applied
+// since the snapshot of the same generation; wal.gob is either a v2 log
+// or a v1 bare gob stream (recognisable because a gob stream can never
+// begin with the magic's first byte). That layout is only ever read:
+// migrateLegacy (engine.go) loads it through readSnapshot and
+// replayLegacyWAL and rewrites it as the segment layout.
 
 const (
 	snapshotFile = "snapshot.gob"
@@ -119,8 +119,7 @@ type walWriter struct {
 	sync WALSyncMode
 }
 
-// walName returns the per-generation log filename the segment engine
-// uses; the snapshot engine keeps the single fixed walFile name.
+// walName returns the per-generation log filename (wal-%06d.log).
 func walName(gen uint64) string { return fmt.Sprintf("wal-%06d.log", gen) }
 
 // parseWALName extracts the generation from a per-generation log name
@@ -255,13 +254,12 @@ func (w *walWriter) close() error {
 	return err
 }
 
-// createWAL atomically installs a fresh generation-gen log named name
-// containing ops (nil for an empty log) and returns a writer positioned
-// for append. The temp-file + rename + directory-fsync sequence
-// guarantees a crash leaves either the previous log or the complete new
-// one, never a half-written header.
-func createWAL(dir, name string, gen uint64, ops []walOp, sync WALSyncMode) (*walWriter, error) {
-	path := filepath.Join(dir, name)
+// createWAL atomically installs an empty generation-gen log
+// (walName(gen)) and returns a writer positioned for append. The
+// temp-file + rename + directory-fsync sequence guarantees a crash leaves
+// either no log or the complete header, never a half-written one.
+func createWAL(dir string, gen uint64, sync WALSyncMode) (*walWriter, error) {
+	path := filepath.Join(dir, walName(gen))
 	tmp := path + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
@@ -277,15 +275,6 @@ func createWAL(dir, name string, gen uint64, ops []walOp, sync WALSyncMode) (*wa
 	}
 	if _, err := b.Write(walHeader(gen)); err != nil {
 		return fail(err)
-	}
-	for _, op := range ops {
-		frame, err := encodeFrame(op)
-		if err != nil {
-			return fail(err)
-		}
-		if _, err := b.Write(frame); err != nil {
-			return fail(err)
-		}
 	}
 	if err := b.Sync(); err != nil {
 		return fail(err)
@@ -308,84 +297,54 @@ func openWALAppend(dir, name string, sync WALSyncMode) (*walWriter, error) {
 	return &walWriter{b: newWALBackend(f), sync: sync}, nil
 }
 
-// recoverWAL replays the log through apply, repairing crash damage as it
-// goes, and returns a writer ready for new appends. snapGen is the
-// generation of the snapshot recovery started from (0 when there is
-// none); a log from an older generation is a leftover of a crash between
-// snapshot install and WAL reset, and is discarded instead of replayed —
-// its ops are already inside the snapshot, and replaying them would
-// double-apply. Legacy v1 logs are replayed and migrated to v2 in place.
-func recoverWAL(dir string, snapGen uint64, sync WALSyncMode, apply func(walOp) error) (*walWriter, error) {
-	path := filepath.Join(dir, walFile)
-	// A crash can strand the temp file of an in-progress reset or
-	// migration; it never became durable state, so drop it.
-	os.Remove(path + ".tmp")
-
-	data, err := os.ReadFile(path)
+// replayLegacyWAL replays the legacy wal.gob through apply without
+// writing anything: the legacy files stay byte-identical until the
+// migration's manifest install supersedes them, so a failed or crashed
+// migration simply reruns on the next open. snapGen is the generation of
+// the snapshot replay started from (0 when there is none). A log from an
+// older generation is a leftover of a crash between snapshot install and
+// WAL reset and is skipped — its ops are already inside the snapshot, and
+// replaying them would double-apply. A log from a newer generation means
+// its snapshot is missing and is ErrWALCorrupt. A torn tail (including a
+// torn v2 header) is the usual bounded crash loss and is ignored;
+// mid-log damage is ErrWALCorrupt.
+func replayLegacyWAL(dir string, snapGen uint64, apply func(walOp) error) error {
+	data, err := os.ReadFile(filepath.Join(dir, walFile))
 	if errors.Is(err, os.ErrNotExist) {
-		return createWAL(dir, walFile, snapGen, nil, sync)
+		return nil
 	}
 	if err != nil {
-		return nil, fmt.Errorf("store: reading WAL: %w", err)
+		return fmt.Errorf("store: reading legacy WAL: %w", err)
 	}
-
 	if len(data) > 0 && data[0] != walMagic[0] {
-		// Legacy v1: one continuous gob stream.
+		// v1: one continuous gob stream.
 		ops, err := decodeLegacyWAL(data)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		for _, op := range ops {
 			if err := apply(op); err != nil {
-				return nil, fmt.Errorf("store: applying WAL op %s: %w", op.Kind, err)
+				return fmt.Errorf("store: applying WAL op %s: %w", op.Kind, err)
 			}
 		}
-		return createWAL(dir, walFile, snapGen, ops, sync)
+		return nil
 	}
-
 	if len(data) < walHeaderSize {
-		// Empty file, or a v2 header torn mid-write: nothing was durable
-		// yet, so restart with a clean log.
-		if err := os.Remove(path); err != nil {
-			return nil, fmt.Errorf("store: resetting torn WAL header: %w", err)
-		}
-		if err := fsyncDir(dir); err != nil {
-			return nil, err
-		}
-		return createWAL(dir, walFile, snapGen, nil, sync)
+		// Empty file, or a v2 header torn mid-write: nothing was durable.
+		return nil
 	}
 	if !bytes.Equal(data[:8], walMagic[:]) {
-		return nil, fmt.Errorf("%w: bad magic in WAL header", ErrWALCorrupt)
+		return fmt.Errorf("%w: bad magic in legacy WAL header", ErrWALCorrupt)
 	}
 	gen := binary.LittleEndian.Uint64(data[8:walHeaderSize])
 	if gen < snapGen {
-		// Stale log from before the current snapshot (crash landed between
-		// snapshot rename and WAL reset). Everything in it is already in
-		// the snapshot.
-		if err := os.Remove(path); err != nil {
-			return nil, fmt.Errorf("store: discarding stale WAL: %w", err)
-		}
-		if err := fsyncDir(dir); err != nil {
-			return nil, err
-		}
-		return createWAL(dir, walFile, snapGen, nil, sync)
+		return nil
 	}
 	if gen > snapGen {
-		return nil, fmt.Errorf("%w: WAL generation %d ahead of snapshot generation %d (snapshot missing?)", ErrWALCorrupt, gen, snapGen)
+		return fmt.Errorf("%w: legacy WAL generation %d ahead of snapshot generation %d (snapshot missing?)", ErrWALCorrupt, gen, snapGen)
 	}
-
-	n, torn, err := walkWALFrames(data[walHeaderSize:], apply)
-	if err != nil {
-		return nil, err
-	}
-	if torn {
-		// Repair on open: cut the torn tail so the log ends on a frame
-		// boundary and stays appendable.
-		if err := repairTornTail(path, int64(walHeaderSize+n)); err != nil {
-			return nil, err
-		}
-	}
-	return openWALAppend(dir, walFile, sync)
+	_, _, err = walkWALFrames(data[walHeaderSize:], apply)
+	return err
 }
 
 // walkWALFrames walks the frame region of a v2 log (everything after the
@@ -485,9 +444,10 @@ func fsyncDir(dir string) error {
 	return nil
 }
 
-// snapshotState is the gob-serialised full state. Generation pairs the
-// snapshot with the WAL that follows it; a legacy snapshot decodes with
-// Generation 0, matching legacy WALs.
+// snapshotState is the legacy snapshot.gob content: the gob-serialised
+// full state. Generation pairs the snapshot with the wal.gob that follows
+// it; a snapshot older than generation numbering decodes with Generation
+// 0, matching the v1 WALs of its time.
 type snapshotState struct {
 	Generation      uint64
 	NextID          uint64
@@ -502,36 +462,7 @@ type snapshotState struct {
 	Campaigns       []*CampaignRec
 }
 
-func writeSnapshot(dir string, st *snapshotState) error {
-	tmp := filepath.Join(dir, snapshotFile+".tmp")
-	f, err := os.Create(tmp)
-	if err != nil {
-		return fmt.Errorf("store: creating snapshot: %w", err)
-	}
-	if err := gob.NewEncoder(f).Encode(st); err != nil {
-		err = errors.Join(err, f.Close())
-		os.Remove(tmp)
-		return fmt.Errorf("store: encoding snapshot: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		err = errors.Join(err, f.Close())
-		os.Remove(tmp)
-		return fmt.Errorf("store: syncing snapshot: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, filepath.Join(dir, snapshotFile)); err != nil {
-		return fmt.Errorf("store: installing snapshot: %w", err)
-	}
-	return fsyncDir(dir)
-}
-
 func readSnapshot(dir string) (*snapshotState, error) {
-	// An interrupted writeSnapshot can leave a temp file behind; it was
-	// never installed, so it is dead weight.
-	os.Remove(filepath.Join(dir, snapshotFile+".tmp"))
 	f, err := os.Open(filepath.Join(dir, snapshotFile))
 	if errors.Is(err, os.ErrNotExist) {
 		return nil, nil

@@ -7,6 +7,25 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
+# gate PKG TEST... runs the named tests under the race detector. A -run
+# pattern that matches nothing passes silently, so every name is first
+# checked against `go test -list` and a missing one — a test renamed or
+# deleted without updating its gate — fails the build.
+gate() {
+    pkg=$1
+    shift
+    pattern=$(printf '%s|' "$@")
+    pattern="^(${pattern%|})\$"
+    listed=$(go test -list "$pattern" "$pkg")
+    for name in "$@"; do
+        if ! printf '%s\n' "$listed" | grep -qx "$name"; then
+            echo "gate: $pkg has no test named $name" >&2
+            exit 1
+        fi
+    done
+    go test -race -run "$pattern" "$pkg"
+}
+
 echo "== gofmt =="
 unformatted=$(gofmt -l .)
 if [ -n "$unformatted" ]; then
@@ -49,8 +68,8 @@ echo "== concurrent serving gate (race) =="
 # mixed-workload and HTTP stress tests are race-clean: a failure here
 # should read as "serving concurrency broke", not as a generic suite
 # failure.
-go test -race -run 'TestConcurrentMixedWorkload|TestGroupCommitBatching|TestImageIDsSortedAcrossDeletesAndReplay|TestGetImageMutationIsolation|TestCloseUnblocksAndFailsMutations' ./internal/store
-go test -race -run 'TestConcurrentServingStress' ./internal/api
+gate ./internal/store TestConcurrentMixedWorkload TestGroupCommitBatching TestImageIDsSortedAcrossDeletesAndReplay TestGetImageMutationIsolation TestCloseUnblocksAndFailsMutations
+gate ./internal/api TestConcurrentServingStress
 
 echo "== read-path cache + admission gate (race) =="
 # The result cache's singleflight and generation-stamped invalidation,
@@ -58,8 +77,8 @@ echo "== read-path cache + admission gate (race) =="
 # hottest path: their tests must stay race-clean, and a failure here
 # should read as "read-path caching broke", not as a generic suite
 # failure.
-go test -race -run 'TestCache|TestCanonicalKey' ./internal/query
-go test -race -run 'TestAdmission|TestSearchDimMismatchIs400' ./internal/api
+gate ./internal/query TestCacheHitThenWriteInvalidates TestCacheSingleflightShare TestCacheSingleflightLeaderErrorNotShared TestCacheConcurrentIdentical TestCacheLRUBound TestCacheFlightMutationIsolation TestCanonicalKeyDistinguishesQueries
+gate ./internal/api TestAdmissionSheds429 TestAdmissionConcurrent TestAdmissionDisabledByDefault TestSearchDimMismatchIs400
 
 echo "== shard fan-out gate (race) =="
 # The scatter-gather coordinator is shared mutable state on every search:
@@ -67,23 +86,26 @@ echo "== shard fan-out gate (race) =="
 # and the global ID allocator must stay race-clean and shard-count
 # invariant. A failure here should read as "sharding broke", not as a
 # generic suite failure.
-go test -race -run 'TestShardCountInvariance|TestFanOutShardError|TestFanOutCancelNoLeak|TestShardCountMismatch|TestClassificationReplication|TestGenerationComposes' ./internal/shard
+gate ./internal/shard TestShardCountInvariance TestFanOutShardError TestFanOutCancelNoLeak TestShardCountMismatch TestClassificationReplication TestGenerationComposes
 
 echo "== segment engine gate (race) =="
 # The segmented storage engine's moving parts — freeze-swap flush,
-# background compaction, WAL-tail recovery, legacy-snapshot migration,
-# and the two-engine query-surface equivalence — must stay race-clean.
+# background compaction, WAL-tail recovery, the one-way legacy-snapshot
+# migration, and query-surface equivalence with a memory-only store —
+# must stay race-clean.
 # The exhaustive kill-at-every-byte sweeps run in the full race suite
 # below; this gate is the fast, named subset so a failure here reads as
 # "segment engine broke", not as a generic suite failure.
-go test -race -run 'TestSegmentFlushRecoverRoundtrip|TestSegmentCompaction|TestSegmentTombstones|TestSegmentWALTailRecovery|TestSegmentBackgroundFlush|TestLegacySnapshotMigration|TestSnapshotEngineRefusesSegmentDir|TestEngineEquivalence|TestGenerationMovesOnEveryWrite|TestWALSyncModesRoundTrip' ./internal/store
+gate ./internal/store TestSegmentFlushRecoverRoundtrip TestSegmentCompaction TestSegmentTombstones TestSegmentWALTailRecovery TestSegmentBackgroundFlush TestLegacySnapshotMigration TestLegacyWALAheadOfSnapshot TestCorruptSnapshotSurfacesError TestEngineEquivalence TestGenerationMovesOnEveryWrite TestWALSyncModesRoundTrip
 
 echo "== crash-recovery property tests (race) =="
-# Torn-write recovery is its own gate: the kill-at-every-offset sweep, the
-# snapshot-crash interleaving, and the reopen-cycle regression must pass
-# under the race detector on every build, and a failure here should read
-# as "durability broke", not as a generic suite failure.
-go test -race -run 'TestKillAtEveryOffset|TestSnapshotPlusWALOffsetSweep|TestSnapshotCrashDiscardsStaleWAL|TestReopenMutateCycles|TestFaultInjectedTornWrites|TestBitFlipSurfacesCorruption|TestLegacyWALMigration' ./internal/store
+# Torn-write recovery is its own gate: the kill-at-every-offset sweep of
+# the live log, the legacy wal.gob every-offset migration sweep, the
+# stale-generation and failed-migration cases, and the reopen-cycle
+# regression must pass under the race detector on every build, and a
+# failure here should read as "durability broke", not as a generic suite
+# failure.
+gate ./internal/store TestKillAtEveryOffset TestSnapshotPlusWALOffsetSweep TestSnapshotCrashDiscardsStaleWAL TestFailedMigrationLeavesLegacyBytes TestReopenMutateCycles TestFaultInjectedTornWrites TestBitFlipSurfacesCorruption TestLegacyWALMigration
 
 echo "== ingest pipeline gate (race) =="
 # The streaming ingestion tier is staged concurrency end to end:
@@ -92,9 +114,9 @@ echo "== ingest pipeline gate (race) =="
 # re-drives the crash window between persist-ack and index insert. All
 # of it must stay race-clean, and a failure here should read as
 # "ingestion pipeline broke", not as a generic suite failure.
-go test -race -run 'TestAckPrecedesExtraction|TestBackpressureShedsBeforePersist|TestPerSourceOrderingPreserved|TestFailedExtractionTrackedAndSweepRedrives|TestRefreshHookFiresOffPath|TestCloseIsIdempotentAndDrainsQueue|TestPipelineOverShardCoordinator' ./internal/ingest
-go test -race -run 'TestStreamEndpointAcksPerRecord|TestUploadBusySheds429WithRetryAfter|TestUploadSyncErrorCarriesAssignedID|TestVideoSyncPartialFrameFailure' ./internal/api
-go test -race -run 'TestCrashBetweenAckAndIndexSweepRedrives|TestReopenAfterCleanCloseSweepsNothing' ./internal/core
+gate ./internal/ingest TestAckPrecedesExtraction TestBackpressureShedsBeforePersist TestPerSourceOrderingPreserved TestFailedExtractionTrackedAndSweepRedrives TestRefreshHookFiresOffPath TestCloseIsIdempotentAndDrainsQueue TestPipelineOverShardCoordinator
+gate ./internal/api TestStreamEndpointAcksPerRecord TestUploadBusySheds429WithRetryAfter TestUploadSyncErrorCarriesAssignedID TestVideoSyncPartialFrameFailure
+gate ./internal/core TestCrashBetweenAckAndIndexSweepRedrives TestReopenAfterCleanCloseSweepsNothing
 
 echo "== graceful shutdown gate (race) =="
 # The request-lifecycle contract under the race detector: Serve must stop
@@ -102,15 +124,15 @@ echo "== graceful shutdown gate (race) =="
 # reopenable with every acknowledged write intact. Shutdown races the
 # drain against live handlers and the committer quiesce, so this gate is
 # race-enabled and should read as "graceful shutdown broke" on failure.
-go test -race -run 'TestServeStopsOnCancel|TestServeGracefulShutdownDrainsInFlight' ./internal/core
-go test -race -run 'TestForCtxCancelNeverDeadlocks|TestForCtxGrainsNeverTear' ./internal/par
+gate ./internal/core TestServeStopsOnCancel TestServeGracefulShutdownDrainsInFlight
+gate ./internal/par TestForCtxCancelNeverDeadlocks TestForCtxGrainsNeverTear
 
 echo "== SIGTERM drain smoke =="
 # The real-process twin of the gate above: SIGTERM a loaded tvdp-server
 # -dir, require exit 0 with the shutdown epilogue logged, then reopen the
-# same directory and require the full corpus back (the post-drain snapshot
+# same directory and require the full corpus back (the post-drain flush
 # makes the reopen replay-free). In-flight drain is covered by the race
-# test; this smoke pins the process wiring (signal → drain → snapshot →
+# test; this smoke pins the process wiring (signal → drain → flush →
 # close → exit code).
 drain_dir=$(mktemp -d)
 drain_port=$((20000 + $$ % 10000))
@@ -142,7 +164,7 @@ grep -q "shutdown complete" "$drain_dir/run1.log" || {
     cat "$drain_dir/run1.log" >&2
     exit 1
 }
-# Reopen: the seeded corpus must be back in full, from the snapshot alone.
+# Reopen: the seeded corpus must be back in full, from the segments alone.
 "$drain_dir/tvdp-server" -addr "127.0.0.1:$drain_port" -dir "$drain_dir/data" >"$drain_dir/run2.log" 2>&1 &
 srv_pid=$!
 ready=0
@@ -206,7 +228,7 @@ echo "== sharding bench smoke =="
 # correctness bit (bit-identical merged results at every shard count)
 # and must be true at any scale.
 go run ./cmd/tvdp-bench -figure sharding -duration 200ms -clients 4 -preload 64 -out "$bench_out/BENCH_sharding.json"
-for key in '"figure": "sharding"' '"shards": 1' '"shards": 8' '"ops_per_sec"' '"speedup_x"' '"p99_ms"' '"snapshot_every"' '"topk_invariant": true'; do
+for key in '"figure": "sharding"' '"shards": 1' '"shards": 8' '"ops_per_sec"' '"speedup_x"' '"p99_ms"' '"topk_invariant": true'; do
     if ! grep -q "$key" "$bench_out/BENCH_sharding.json"; then
         echo "BENCH_sharding.json missing $key" >&2
         exit 1
@@ -217,9 +239,9 @@ echo "== persistence bench smoke =="
 # A reduced tvdp-bench -figure persistence run must produce a well-formed
 # BENCH_persistence.json. Stall numbers from a 300ms window on a small
 # corpus are noise, so only the report shape is checked — the committed
-# artifact is regenerated at full scale when the engines change.
+# artifact is regenerated at full scale when the engine changes.
 go run ./cmd/tvdp-bench -figure persistence -duration 300ms -clients 4 -preload 64 -out "$bench_out/BENCH_persistence.json"
-for key in '"figure": "persistence"' '"snapshot"' '"segment"' '"max_stall_ms"' '"flushes"' '"p99_improvement_x"' '"stall_improvement_x"'; do
+for key in '"figure": "persistence"' '"segment"' '"max_stall_ms"' '"flushes"'; do
     if ! grep -q "$key" "$bench_out/BENCH_persistence.json"; then
         echo "BENCH_persistence.json missing $key" >&2
         exit 1
