@@ -94,7 +94,8 @@ type IngestModeResult struct {
 	Mode    string `json:"mode"`
 	Records int    `json:"records"`
 	// Ack percentiles: submit-to-ack, the latency an uploading camera
-	// sees. For streaming this includes any ErrBusy backoff+resubmit.
+	// sees, counted from the intended send time when paced. For
+	// streaming this includes any ErrBusy backoff+resubmit.
 	AckP50Ms float64 `json:"ack_p50_ms"`
 	AckP95Ms float64 `json:"ack_p95_ms"`
 	AckP99Ms float64 `json:"ack_p99_ms"`
@@ -211,12 +212,22 @@ func runIngestMode(mode string, cfg IngestConfig, recs []synth.Record, bow *feat
 			// Client c owns records c, c+Clients, c+2*Clients, ... — a
 			// deterministic striping that also spreads WorkerIDs (and so
 			// pipeline partitions) across clients.
+			//
+			// Paced mode: record n is due at n×interval on this client's
+			// own clock, and its ack latency counts from that intended
+			// send time, so a stall charges every record it delayed —
+			// timing from the actual send would hide exactly those
+			// (coordinated omission). Unpaced, it counts from the send.
 			n := 0
 			for i := c; i < len(recs); i += cfg.Clients {
 				if interval > 0 {
 					if ahead := time.Duration(n)*interval - clock.elapsed(); ahead > 0 {
 						time.Sleep(ahead)
 					}
+				}
+				start := clock.elapsed()
+				if interval > 0 {
+					start = time.Duration(n) * interval
 				}
 				n++
 				rec := ingest.Record{
@@ -229,7 +240,6 @@ func runIngestMode(mode string, cfg IngestConfig, recs []synth.Record, bow *feat
 					},
 					Keywords: recs[i].Keywords,
 				}
-				op := startStopwatch()
 				var err error
 				if mode == "inline" {
 					_, _, err = pipe.SubmitSync(ctx, rec)
@@ -248,7 +258,7 @@ func runIngestMode(mode string, cfg IngestConfig, recs []synth.Record, bow *feat
 					out.err = err
 					return
 				}
-				out.lat = append(out.lat, op.elapsed())
+				out.lat = append(out.lat, clock.elapsed()-start)
 			}
 		}(c)
 	}

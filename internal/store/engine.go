@@ -372,7 +372,9 @@ func (e *segEngine) compact() error {
 		if err != nil {
 			return err
 		}
-		acc.absorb(seg)
+		if err := acc.absorb(seg); err != nil {
+			return fmt.Errorf("store: compacting %s: %w", ref.Name, err)
+		}
 	}
 	out := acc.toSegment(true)
 	name := segName(outNum)
@@ -651,7 +653,11 @@ func (s *Store) loadSegment(seg *segmentData) error {
 			}
 		}
 	}
-	for _, img := range seg.Images {
+	for _, rec := range seg.Images {
+		img, err := rec.image()
+		if err != nil {
+			return err
+		}
 		if err := s.applyImage(img); err != nil {
 			return err
 		}

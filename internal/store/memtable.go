@@ -106,12 +106,16 @@ func (m *memtable) deleteImage(id uint64) {
 // absorb merges one already-sorted segment into the accumulator, oldest
 // first — the compaction merge. Tombstones apply before rows, mirroring
 // loadSegment, so a segment's net window semantics survive the merge.
-func (m *memtable) absorb(seg *segmentData) {
+func (m *memtable) absorb(seg *segmentData) error {
 	for _, id := range seg.Tombstones {
 		//tvdp:nolint guardedby the accumulator is a compaction-private memtable no reader can see; the lock contract protects only the live window
 		m.deleteImage(id)
 	}
-	for _, img := range seg.Images {
+	for _, rec := range seg.Images {
+		img, err := rec.image()
+		if err != nil {
+			return err
+		}
 		m.addImage(img)
 	}
 	for _, c := range seg.Classifications {
@@ -141,6 +145,7 @@ func (m *memtable) absorb(seg *segmentData) {
 	if seg.NextID > m.nextID {
 		m.nextID = seg.NextID
 	}
+	return nil
 }
 
 // toSegment serialises the window as a sorted immutable segment. Every
@@ -159,7 +164,7 @@ func (m *memtable) toSegment(dropTombstones bool) *segmentData {
 		sort.Slice(seg.Tombstones, func(i, j int) bool { return seg.Tombstones[i] < seg.Tombstones[j] })
 	}
 	for _, img := range m.images {
-		seg.Images = append(seg.Images, img)
+		seg.Images = append(seg.Images, newImageRecord(img))
 	}
 	sort.Slice(seg.Images, func(i, j int) bool { return seg.Images[i].ID < seg.Images[j].ID })
 	for id, kinds := range m.features {

@@ -60,7 +60,7 @@ func isSegName(base string) bool {
 type segmentData struct {
 	NextID          uint64
 	Tombstones      []uint64
-	Images          []*Image
+	Images          []*imageRecord
 	Features        []*Feature
 	Classifications []*Classification
 	Annotations     []*Annotation
@@ -174,9 +174,20 @@ func readSegment(dir, name string) (*segmentData, error) {
 	if err != nil {
 		return nil, err
 	}
+	seg, err := decodeSegment(payload)
+	if err != nil {
+		return nil, fmt.Errorf("%w: undecodable segment %s: %v", ErrWALCorrupt, name, err)
+	}
+	return seg, nil
+}
+
+// decodeSegment decodes a verified segment payload. Image records stay
+// in their persisted shape until loadSegment or a compaction's absorb
+// turns each into a row.
+func decodeSegment(payload []byte) (*segmentData, error) {
 	var seg segmentData
 	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&seg); err != nil {
-		return nil, fmt.Errorf("%w: undecodable segment %s: %v", ErrWALCorrupt, name, err)
+		return nil, err
 	}
 	return &seg, nil
 }

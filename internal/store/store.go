@@ -471,7 +471,11 @@ func (s *Store) loadSnapshot(st *snapshotState) error {
 	if err := s.resetState(); err != nil {
 		return err
 	}
-	for _, img := range st.Images {
+	for _, rec := range st.Images {
+		img, err := rec.image()
+		if err != nil {
+			return err
+		}
 		if err := s.applyImage(img); err != nil {
 			return err
 		}
@@ -541,8 +545,8 @@ func (s *Store) AddImage(img Image) (uint64, error) {
 	if err := img.FOV.Validate(); err != nil {
 		return 0, fmt.Errorf("%w: %v", ErrInvalid, err)
 	}
-	if img.Pixels == nil {
-		return 0, fmt.Errorf("%w: image has no pixels", ErrInvalid)
+	if err := checkRaster(img.Pixels); err != nil {
+		return 0, err
 	}
 	if img.Origin == "" {
 		img.Origin = OriginOriginal

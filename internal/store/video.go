@@ -47,8 +47,8 @@ func (s *Store) AddVideo(description, workerID string, frames []Frame) (uint64, 
 	}
 	// Validate everything before mutating.
 	for i, f := range frames {
-		if f.Pixels == nil {
-			return 0, nil, fmt.Errorf("%w: frame %d has no pixels", ErrInvalid, i)
+		if err := checkRaster(f.Pixels); err != nil {
+			return 0, nil, fmt.Errorf("frame %d: %w", i, err)
 		}
 		if err := f.FOV.Validate(); err != nil {
 			return 0, nil, fmt.Errorf("%w: frame %d: %v", ErrInvalid, i, err)
@@ -235,8 +235,8 @@ func (s *Store) Videos() []Video {
 // AddAugmented stores an augmented derivative of an existing image,
 // inheriting its spatial and temporal descriptors (paper §IV-B).
 func (s *Store) AddAugmented(parentID uint64, pixels *imagesim.Image) (uint64, error) {
-	if pixels == nil {
-		return 0, fmt.Errorf("%w: augmented image has no pixels", ErrInvalid)
+	if err := checkRaster(pixels); err != nil {
+		return 0, fmt.Errorf("augmented image: %w", err)
 	}
 	if s.closed.Load() {
 		return 0, ErrClosed

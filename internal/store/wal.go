@@ -25,7 +25,7 @@ import (
 //
 //	payload length (4 bytes LE) | CRC32C of payload (4 bytes LE) | payload
 //
-// Each payload is one walOp encoded by a *fresh* gob encoder, so every
+// Each payload is one walRecord encoded by a *fresh* gob encoder, so every
 // frame is a complete gob stream on its own. That independence is what
 // makes append-after-reopen safe: the v1 format shared one encoder per
 // file session, so each reopen restarted gob's type-descriptor numbering
@@ -64,7 +64,7 @@ var walMagic = [8]byte{0xB6, 'T', 'V', 'W', 'A', 'L', 'v', '2'}
 var walCRCTable = crc32.MakeTable(crc32.Castagnoli)
 
 // walOp is one durable mutation. Exactly one payload field is set,
-// selected by Kind.
+// selected by Kind. A frame carries it as a walRecord.
 type walOp struct {
 	Kind           string
 	Image          *Image
@@ -77,6 +77,90 @@ type walOp struct {
 	Video          *Video
 	Campaign       *CampaignRec
 	DeleteImageID  uint64
+}
+
+// walRecord is a walOp as a frame carries it: the same fields, with the
+// image in its persisted shape (imageRecord, pixels packed). Frames
+// written before the packed encoding hold gob-encoded walOp values;
+// gob matches them to walRecord field by field.
+type walRecord struct {
+	Kind           string
+	Image          *imageRecord
+	Feature        *Feature
+	Classification *Classification
+	Annotation     *Annotation
+	Keyword        *keywordOp
+	User           *User
+	APIKey         *APIKey
+	Video          *Video
+	Campaign       *CampaignRec
+	DeleteImageID  uint64
+}
+
+func (op *walOp) record() *walRecord {
+	r := &walRecord{
+		Kind: op.Kind, Feature: op.Feature, Classification: op.Classification,
+		Annotation: op.Annotation, Keyword: op.Keyword, User: op.User,
+		APIKey: op.APIKey, Video: op.Video, Campaign: op.Campaign,
+		DeleteImageID: op.DeleteImageID,
+	}
+	if op.Image != nil {
+		r.Image = newImageRecord(op.Image)
+	}
+	return r
+}
+
+// op returns the mutation a decoded frame describes. A frame whose kind
+// lacks its payload, or whose raster disagrees with its size, is
+// corruption: replay would otherwise dereference what is not there.
+func (r *walRecord) op() (walOp, error) {
+	op := walOp{
+		Kind: r.Kind, Feature: r.Feature, Classification: r.Classification,
+		Annotation: r.Annotation, Keyword: r.Keyword, User: r.User,
+		APIKey: r.APIKey, Video: r.Video, Campaign: r.Campaign,
+		DeleteImageID: r.DeleteImageID,
+	}
+	if r.Image != nil {
+		img, err := r.Image.image()
+		if err != nil {
+			return walOp{}, err
+		}
+		op.Image = img
+	}
+	var missing bool
+	switch op.Kind {
+	case opAddImage:
+		missing = op.Image == nil || op.Image.Pixels == nil
+	case opAddFeature:
+		missing = op.Feature == nil
+	case opAddClass:
+		missing = op.Classification == nil
+	case opAddAnnotation:
+		missing = op.Annotation == nil
+	case opAddKeywords:
+		missing = op.Keyword == nil
+	case opAddUser:
+		missing = op.User == nil
+	case opAddAPIKey:
+		missing = op.APIKey == nil
+	case opAddVideo:
+		missing = op.Video == nil
+	case opAddCampaign:
+		missing = op.Campaign == nil
+	}
+	if missing {
+		return walOp{}, fmt.Errorf("%w: %s op without its payload", ErrWALCorrupt, op.Kind)
+	}
+	return op, nil
+}
+
+// decodeWALPayload decodes one frame payload (a standalone gob stream).
+func decodeWALPayload(payload []byte) (walOp, error) {
+	var r walRecord
+	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&r); err != nil {
+		return walOp{}, err
+	}
+	return r.op()
 }
 
 type keywordOp struct {
@@ -154,7 +238,7 @@ func walHeader(gen uint64) []byte {
 // walPayloadEncoder amortises gob type descriptors across frames. Every
 // frame payload must stay a self-contained gob stream (recovery decodes
 // each frame with a fresh decoder), but a fresh encoder per frame spends
-// most of its time re-serialising the walOp type graph. gob emits the
+// most of its time re-serialising the walRecord type graph. gob emits the
 // full static type graph once, up front, on an encoder's first Encode of
 // a type; this cache captures those descriptor bytes and prepends them to
 // the bare value message a long-lived encoder produces per op — the same
@@ -168,7 +252,7 @@ type walPayloadEncoder struct {
 
 var walPayloads walPayloadEncoder
 
-func (e *walPayloadEncoder) encode(op walOp) ([]byte, error) {
+func (e *walPayloadEncoder) encode(op *walRecord) ([]byte, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.enc == nil {
@@ -204,9 +288,10 @@ func (e *walPayloadEncoder) encode(op walOp) ([]byte, error) {
 }
 
 // encodeFrame serialises one op as a self-contained frame: length, CRC32C,
-// then a standalone gob payload (type descriptors via walPayloads).
+// then a standalone gob payload of its walRecord (type descriptors via
+// walPayloads).
 func encodeFrame(op walOp) ([]byte, error) {
-	payload, err := walPayloads.encode(op)
+	payload, err := walPayloads.encode(op.record())
 	if err != nil {
 		return nil, err
 	}
@@ -380,8 +465,8 @@ func walkWALFrames(data []byte, apply func(walOp) error) (consumed int, torn boo
 			}
 			return off, false, fmt.Errorf("%w: checksum mismatch in frame at offset %d", ErrWALCorrupt, off)
 		}
-		var op walOp
-		if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&op); err != nil {
+		op, err := decodeWALPayload(payload)
+		if err != nil {
 			return off, false, fmt.Errorf("%w: undecodable frame at offset %d: %v", ErrWALCorrupt, off, err)
 		}
 		if err := apply(op); err != nil {
@@ -416,11 +501,15 @@ func decodeLegacyWAL(data []byte) ([]walOp, error) {
 	dec := gob.NewDecoder(bytes.NewReader(data))
 	var ops []walOp
 	for {
-		var op walOp
-		err := dec.Decode(&op)
+		var r walRecord
+		err := dec.Decode(&r)
 		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
 			return ops, nil
 		}
+		if err != nil {
+			return nil, fmt.Errorf("%w: legacy WAL: %v", ErrWALCorrupt, err)
+		}
+		op, err := r.op()
 		if err != nil {
 			return nil, fmt.Errorf("%w: legacy WAL: %v", ErrWALCorrupt, err)
 		}
@@ -451,7 +540,7 @@ func fsyncDir(dir string) error {
 type snapshotState struct {
 	Generation      uint64
 	NextID          uint64
-	Images          []*Image
+	Images          []*imageRecord
 	Features        []*Feature
 	Classifications []*Classification
 	Annotations     []*Annotation

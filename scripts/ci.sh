@@ -26,6 +26,19 @@ gate() {
     go test -race -run "$pattern" "$pkg"
 }
 
+# fuzz PKG TARGET runs one fuzz target for a short fixed time, after the
+# same existence check as gate: -fuzz with a pattern that matches
+# nothing passes silently.
+fuzz() {
+    pkg=$1
+    name=$2
+    if ! go test -list "^${name}\$" "$pkg" | grep -qx "$name"; then
+        echo "fuzz: $pkg has no fuzz target named $name" >&2
+        exit 1
+    fi
+    go test -run '^$' -fuzz "^${name}\$" -fuzztime 10s "$pkg"
+}
+
 echo "== gofmt =="
 unformatted=$(gofmt -l .)
 if [ -n "$unformatted" ]; then
@@ -96,7 +109,7 @@ echo "== segment engine gate (race) =="
 # The exhaustive kill-at-every-byte sweeps run in the full race suite
 # below; this gate is the fast, named subset so a failure here reads as
 # "segment engine broke", not as a generic suite failure.
-gate ./internal/store TestSegmentFlushRecoverRoundtrip TestSegmentCompaction TestSegmentTombstones TestSegmentWALTailRecovery TestSegmentBackgroundFlush TestLegacySnapshotMigration TestLegacyWALAheadOfSnapshot TestCorruptSnapshotSurfacesError TestEngineEquivalence TestGenerationMovesOnEveryWrite TestWALSyncModesRoundTrip
+gate ./internal/store TestSegmentFlushRecoverRoundtrip TestSegmentCompaction TestSegmentTombstones TestSegmentWALTailRecovery TestSegmentBackgroundFlush TestLegacySnapshotMigration TestLegacyWALAheadOfSnapshot TestCorruptSnapshotSurfacesError TestEngineEquivalence TestGenerationMovesOnEveryWrite TestWALSyncModesRoundTrip TestSegmentV1Compatibility TestPackedPixelSizePin
 
 echo "== crash-recovery property tests (race) =="
 # Torn-write recovery is its own gate: the kill-at-every-offset sweep of
@@ -106,6 +119,15 @@ echo "== crash-recovery property tests (race) =="
 # failure here should read as "durability broke", not as a generic suite
 # failure.
 gate ./internal/store TestKillAtEveryOffset TestSnapshotPlusWALOffsetSweep TestSnapshotCrashDiscardsStaleWAL TestFailedMigrationLeavesLegacyBytes TestReopenMutateCycles TestFaultInjectedTornWrites TestBitFlipSurfacesCorruption TestLegacyWALMigration
+
+echo "== decoder fuzzing =="
+# Recovery decodes WAL frames and segments straight off the disk. Each
+# target replays its committed seed corpus (both pixel shapes) and then
+# explores for a fixed budget; a panic, or a well-formed frame the walker
+# neither applies nor rejects, fails the build and leaves the crasher
+# under internal/store/testdata/fuzz for replay.
+fuzz ./internal/store FuzzWALFrame
+fuzz ./internal/store FuzzSegment
 
 echo "== ingest pipeline gate (race) =="
 # The streaming ingestion tier is staged concurrency end to end:
